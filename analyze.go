@@ -191,6 +191,14 @@ func attachActuals(s *PlanSummary, n core.PlanNode, exec *core.Execution, spans 
 	switch v := n.(type) {
 	case *core.ServiceNode:
 		s.Remote = spans[v.SourceID]
+		if act, ok := exec.NodeActuals(v.Split); ok {
+			// A cluster ran the merged request as its split chain: the
+			// chain's output is the node's, and the chain renders beneath.
+			a := actualFromInternal(act)
+			s.Actual = &a
+			s.Children = []*PlanSummary{summarize(v.Split)}
+			attachActuals(s.Children[0], v.Split, exec, spans)
+		}
 	case *core.JoinNode:
 		if len(s.Children) == 2 {
 			attachActuals(s.Children[0], v.L, exec, spans)

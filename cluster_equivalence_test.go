@@ -13,6 +13,8 @@ import (
 	"ontario/internal/bridge"
 	"ontario/internal/cluster"
 	"ontario/internal/lslod"
+	"ontario/internal/rdf"
+	"ontario/internal/sparql"
 	"ontario/internal/trace"
 	"ontario/internal/wrapper"
 )
@@ -359,5 +361,214 @@ func TestClusterCoPartitionedPushdown(t *testing.T) {
 	}
 	if shuffled == 0 {
 		t.Fatal("subject-object control join shuffled no batches; the shuffle counter is not measuring")
+	}
+}
+
+// oracleRows evaluates the query with sparql.EvalQuery over the lake
+// materialized as one RDF graph — a reference sharing no planner, wrapper
+// or operator code with the engine — and returns its answers as a sorted
+// multiset of projected-variable rows.
+func oracleRows(t *testing.T, lk *lslod.Lake, text string) []string {
+	t.Helper()
+	g := rdf.NewGraph()
+	for _, id := range lk.Catalog.SourceIDs() {
+		sg, err := lslod.GraphFromSource(lk.Catalog.Source(id))
+		if err != nil {
+			t.Fatalf("materializing %s: %v", id, err)
+		}
+		g.AddAll(sg.Triples())
+	}
+	q := sparql.MustParse(text)
+	vars := q.ProjectedVars()
+	var out []string
+	for _, b := range sparql.EvalQuery(g, q) {
+		terms := make([]string, len(vars))
+		for i, v := range vars {
+			if tm, ok := b[v]; ok {
+				terms[i] = termRow(uint8(tm.Kind), tm.Value, tm.Datatype, tm.Lang)
+			}
+		}
+		out = append(out, strings.Join(terms, "\x1e"))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// termRow renders one term for oracle comparison; a plain literal and an
+// explicit xsd:string are the same term.
+func termRow(kind uint8, value, datatype, lang string) string {
+	if datatype == "http://www.w3.org/2001/XMLSchema#string" {
+		datatype = ""
+	}
+	return fmt.Sprintf("%d\x1f%s\x1f%s\x1f%s", kind, value, datatype, lang)
+}
+
+// TestClusterSplitOracle runs the merged-service shapes a cluster splits
+// on 1, 2 and 3 workers and checks every answer multiset against the
+// SPARQL oracle, not against single-node execution. It also pins the
+// executed join operators: the Heuristic-1 requests run as block bind
+// joins (Q2 without a single shuffled batch), and the subject–subject
+// split of a triple decomposition stays a co-partitioned co-join.
+func TestClusterSplitOracle(t *testing.T) {
+	lk := buildEquivLake(t)
+	eng := ontario.New(lk.Lake)
+	run := []ontario.Option{
+		ontario.WithNetwork(ontario.NoDelay),
+		ontario.WithNetworkScale(0),
+		ontario.WithSeed(1),
+	}
+	threeStar := fmt.Sprintf(`SELECT ?d1 ?n1 ?g ?d2 ?deg WHERE {
+  ?d1 <%s> ?n1 .
+  ?d1 <%s> ?g .
+  ?g <%s> ?chrom .
+  ?g <%s> ?glabel .
+  ?d2 <%s> ?g .
+  ?d2 <%s> ?deg .
+  FILTER (?chrom = "chr7")
+}`, lslod.PredDiseaseName, lslod.PredAssociatedGene, lslod.PredGeneChromosome,
+		lslod.PredGeneLabel, lslod.PredAssociatedGene, lslod.PredDegree)
+	subjectSubject := fmt.Sprintf(`SELECT ?disease ?name ?drug WHERE {
+  ?disease <%s> ?name .
+  ?disease <%s> ?drug .
+}`, lslod.PredDiseaseName, lslod.PredPossibleDrug)
+	cases := []struct {
+		name  string
+		text  string
+		opts  []ontario.Option
+		joins []string // executed join operators, sorted
+	}{
+		{"Q2", lslod.QueryText("Q2"), []ontario.Option{ontario.WithAwarePlan()},
+			[]string{"block-bind-join"}},
+		{"Q4", lslod.QueryText("Q4"), []ontario.Option{ontario.WithAwarePlan()},
+			[]string{"bind-join", "block-bind-join"}},
+		{"three-star", threeStar, []ontario.Option{ontario.WithAwarePlan()},
+			[]string{"block-bind-join", "block-bind-join"}},
+		{"subject-subject", subjectSubject, []ontario.Option{
+			ontario.WithAwarePlan(),
+			ontario.WithTripleDecomposition(),
+			ontario.WithOptimizer(ontario.OptimizerGreedy),
+		}, []string{"co-join"}},
+	}
+	want := make([][]string, len(cases))
+	for i, c := range cases {
+		want[i] = oracleRows(t, lk, c.text)
+		if len(want[i]) == 0 {
+			t.Fatalf("%s: the oracle has no answers; the case proves nothing", c.name)
+		}
+	}
+	shuffled := func(tc *testCluster) int64 {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		var n int64
+		for _, ws := range tc.client.Probe(ctx) {
+			n += ws.ShuffledBatches
+		}
+		return n
+	}
+	for _, workers := range []int{1, 2, 3} {
+		tc := bootCluster(t, workers, cluster.ClientConfig{})
+		for i, c := range cases {
+			label := fmt.Sprintf("%s/%dw", c.name, workers)
+			before := shuffled(tc)
+			qt := trace.NewQueryTrace()
+			opts := append(append([]ontario.Option{tc.opt}, run...), c.opts...)
+			res, err := eng.Query(trace.WithQuery(context.Background(), qt), c.text, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			rows, err := res.Collect()
+			res.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			vars := sparql.MustParse(c.text).ProjectedVars()
+			got := make([]string, len(rows))
+			for r, b := range rows {
+				terms := make([]string, len(vars))
+				for k, v := range vars {
+					if tm, ok := b[v]; ok {
+						terms[k] = termRow(uint8(tm.Kind), tm.Value, tm.Datatype, tm.Lang)
+					}
+				}
+				got[r] = strings.Join(terms, "\x1e")
+			}
+			sort.Strings(got)
+			diffMultisets(t, label, want[i], got)
+
+			var joins []string
+			for _, op := range qt.Ops() {
+				if strings.HasSuffix(op.Kind, "-join") {
+					joins = append(joins, op.Kind)
+				}
+			}
+			sort.Strings(joins)
+			if strings.Join(joins, ",") != strings.Join(c.joins, ",") {
+				t.Fatalf("%s: executed joins %v, want %v", label, joins, c.joins)
+			}
+			if c.name == "Q2" {
+				if n := shuffled(tc) - before; n != 0 {
+					t.Fatalf("%s: shuffled %d batches; the block bind join must shuffle none", label, n)
+				}
+			}
+		}
+	}
+}
+
+// TestClusterAnalyzeRendersSplit checks EXPLAIN ANALYZE of merged services
+// on a cluster: the merged node carries the actuals of the split chain
+// that ran in its place, the chain renders beneath it with its block bind
+// join and per-service actuals, and the nodes above keep theirs.
+func TestClusterAnalyzeRendersSplit(t *testing.T) {
+	lk := buildEquivLake(t)
+	eng := ontario.New(lk.Lake)
+	tc := bootCluster(t, 2, cluster.ClientConfig{})
+	for _, id := range []string{"Q2", "Q4"} {
+		res, err := eng.Query(context.Background(), lslod.QueryText(id), tc.opt,
+			ontario.WithAwarePlan(), ontario.WithNetwork(ontario.NoDelay), ontario.WithNetworkScale(0))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if _, err := res.Collect(); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		a := res.Analyze()
+		res.Close()
+
+		var merged *ontario.PlanSummary
+		for _, n := range walkSummaries(a.Plan) {
+			if n.Operator == "merged-service" {
+				merged = n
+				continue
+			}
+			if merged == nil && n.Actual == nil {
+				t.Fatalf("%s: %s node above the merged service lacks actuals", id, n.Operator)
+			}
+		}
+		if merged == nil {
+			t.Fatalf("%s: no merged-service node in the plan", id)
+		}
+		if merged.Actual == nil || merged.Actual.BindingsOut == 0 {
+			t.Fatalf("%s: merged service shows no actuals: %+v", id, merged.Actual)
+		}
+		if len(merged.Children) != 1 {
+			t.Fatalf("%s: merged service renders %d children, want its split chain", id, len(merged.Children))
+		}
+		join := merged.Children[0]
+		if join.Actual == nil || join.Actual.Kind != "block-bind-join" || join.Actual.BlocksIssued == 0 {
+			t.Fatalf("%s: split root actual = %+v, want a block-bind-join that issued blocks", id, join.Actual)
+		}
+		if join.Actual.BindingsOut != merged.Actual.BindingsOut {
+			t.Fatalf("%s: merged service reports %d answers, its split chain %d",
+				id, merged.Actual.BindingsOut, join.Actual.BindingsOut)
+		}
+		for _, svc := range join.Children {
+			if svc.Operator != "service" || svc.Actual == nil || svc.Actual.Kind != "service" {
+				t.Fatalf("%s: split chain leaf %s lacks service actuals", id, svc.Operator)
+			}
+		}
+		text := a.String()
+		if !strings.Contains(text, "merged-service[diseasome]") || !strings.Contains(text, "join block-bind on [gene]") {
+			t.Fatalf("%s: rendered analysis lacks the split chain:\n%s", id, text)
+		}
 	}
 }

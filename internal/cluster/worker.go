@@ -16,6 +16,7 @@ import (
 	"ontario/internal/dict"
 	"ontario/internal/engine"
 	"ontario/internal/sparql"
+	"ontario/internal/wrapper"
 )
 
 // WorkerConfig configures a cluster worker.
@@ -60,6 +61,12 @@ type Worker struct {
 
 	mu    sync.Mutex
 	conns map[*workerConn]struct{}
+
+	// shapes interns decoded request shapes (stars and filters) by their
+	// wire encoding, so repeated tasks hand the wrappers the same slices:
+	// the response cache keys on their identity.
+	shapeMu sync.Mutex
+	shapes  map[string]*wrapper.Request
 
 	active atomic.Int64
 	queued atomic.Int64
@@ -110,7 +117,44 @@ func NewWorker(publicLake any, cfg WorkerConfig) (*Worker, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		conns:  make(map[*workerConn]struct{}),
+		shapes: make(map[string]*wrapper.Request),
 	}, nil
+}
+
+// shapeCap bounds the interned request shapes; crossing it drops them all
+// (a shape mix that large is ad-hoc churn, not reuse).
+const shapeCap = 1024
+
+// request decodes a task's wrapper request, sharing the star and filter
+// slices of every earlier task with the same shape against the same
+// source; only the seeds are decoded afresh.
+func (w *Worker) request(sourceID string, wr wireRequest) (*wrapper.Request, error) {
+	key, err := json.Marshal(struct {
+		Source  string      `json:"source"`
+		Stars   []wireStar  `json:"stars"`
+		Filters []*wireExpr `json:"filters"`
+	}{sourceID, wr.Stars, wr.Filters})
+	if err != nil {
+		return nil, err
+	}
+	w.shapeMu.Lock()
+	shape := w.shapes[string(key)]
+	if shape == nil {
+		if shape, err = (wireRequest{Stars: wr.Stars, Filters: wr.Filters}).request(); err != nil {
+			w.shapeMu.Unlock()
+			return nil, err
+		}
+		if len(w.shapes) >= shapeCap {
+			clear(w.shapes)
+		}
+		w.shapes[string(key)] = shape
+	}
+	w.shapeMu.Unlock()
+	req := &wrapper.Request{Stars: shape.Stars, Filters: shape.Filters, Seed: wr.Seed.binding()}
+	for _, s := range wr.Seeds {
+		req.Seeds = append(req.Seeds, s.binding())
+	}
+	return req, nil
 }
 
 // Epoch returns the worker's session epoch.
@@ -406,7 +450,7 @@ func (w *Worker) sendOut(st *workerStream, enc *Encoder, s *engine.CStream) erro
 // runScan executes one wrapper request against this worker's partition
 // and streams the result batches back.
 func (w *Worker) runScan(st *workerStream, enc *Encoder, sc *scanTask) error {
-	req, err := sc.Req.request()
+	req, err := w.request(sc.SourceID, sc.Req)
 	if err != nil {
 		return err
 	}
@@ -456,7 +500,7 @@ func (w *Worker) buildFrag(ctx context.Context, x *core.Execution, f *wireFrag, 
 		if f.Req == nil {
 			return nil, corrupt("fragment scan without request")
 		}
-		req, err := f.Req.request()
+		req, err := w.request(f.SourceID, *f.Req)
 		if err != nil {
 			return nil, err
 		}

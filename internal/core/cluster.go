@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"ontario/internal/dict"
@@ -67,66 +68,26 @@ func (x *Execution) RunService(ctx context.Context, sourceID string, req *wrappe
 // dictionary every execution interns into).
 func (e *Executor) Dict() *dict.Dict { return e.terms }
 
-// unmergeServices rewrites every Heuristic-1 merged service (one request
-// joining several stars inside a single relational source) into an
-// engine-level symmetric-hash join of single-star services. Partitioned
-// workers hold disjoint row-slices of a source, so a pushed-down
-// intra-source join would silently drop every pair of stars living on
-// different partitions; unmerging routes those joins through the
-// distributed shuffle, which sees all partitions. The rewrite builds
-// fresh nodes and leaves the (shared, read-only) plan tree untouched.
-func unmergeServices(n PlanNode) PlanNode {
-	switch v := n.(type) {
-	case *ServiceNode:
-		if v.Req == nil || len(v.Req.Stars) <= 1 {
-			return v
-		}
-		return splitMergedService(v)
-	case *JoinNode:
-		l, r := unmergeServices(v.L), unmergeServices(v.R)
-		if l == v.L && r == v.R {
-			return v
-		}
-		c := *v
-		c.L, c.R = l, r
-		return &c
-	case *LeftJoinNode:
-		l, r := unmergeServices(v.L), unmergeServices(v.R)
-		if l == v.L && r == v.R {
-			return v
-		}
-		c := *v
-		c.L, c.R = l, r
-		return &c
-	case *FilterNode:
-		ch := unmergeServices(v.Child)
-		if ch == v.Child {
-			return v
-		}
-		c := *v
-		c.Child = ch
-		return &c
-	case *UnionNode:
-		changed := false
-		children := make([]PlanNode, len(v.Children))
-		for i, ch := range v.Children {
-			children[i] = unmergeServices(ch)
-			changed = changed || children[i] != ch
-		}
-		if !changed {
-			return v
-		}
-		return &UnionNode{Children: children}
-	default:
-		return n
-	}
-}
-
-// splitMergedService turns one merged multi-star service into a left-deep
-// chain of symmetric-hash joins over single-star services. Pushed filters
-// follow the first star that covers their variables; filters spanning
-// stars lift to an engine-level FilterNode above the chain.
-func splitMergedService(v *ServiceNode) PlanNode {
+// splitMergedService builds the tree a partitioned cluster runs in place
+// of a Heuristic-1 merged service (one request joining several stars
+// inside a single relational source). Partitioned workers hold disjoint
+// row-slices of the source, so the pushed-down intra-source join would
+// silently drop every pair of stars living on different partitions; the
+// split runs one single-star service per star instead. cards holds each
+// star's estimated answers, the planner's starCard.
+//
+// Each pushed filter follows the first star that covers its variables
+// (and scales that star's estimate by filterSelectivity); filters spanning
+// stars lift to an engine-level FilterNode above the chain. The most
+// selective star runs first as a full scan. Every later star — greedily
+// the most selective one sharing a variable with the stars before it —
+// joins by block bind join: the left bindings fan out to every worker as
+// seed blocks, and the relational wrapper answers each block with one
+// IN-list query on the indexed join column. A star whose subject is a
+// partition variable of the chain so far joins by symmetric hash instead:
+// that join is co-partitioned, so the co-join pushdown runs it
+// worker-local without a shuffle.
+func splitMergedService(v *ServiceNode, cards []float64) PlanNode {
 	stars := v.Req.Stars
 	starVars := make([]map[string]bool, len(stars))
 	for i, s := range stars {
@@ -137,20 +98,15 @@ func splitMergedService(v *ServiceNode) PlanNode {
 		starVars[i] = set
 	}
 
+	sel := append([]float64(nil), cards...)
 	perStar := make([][]sparql.Expr, len(stars))
 	var lifted []sparql.Expr
 	for _, f := range v.Req.Filters {
 		placed := false
 		for i := range stars {
-			covered := true
-			for _, fv := range f.Vars() {
-				if !starVars[i][fv] {
-					covered = false
-					break
-				}
-			}
-			if covered {
+			if coveredBy(starVars[i], f.Vars()) {
 				perStar[i] = append(perStar[i], f)
+				sel[i] = math.Max(sel[i]*filterSelectivity, 1)
 				placed = true
 				break
 			}
@@ -162,27 +118,42 @@ func splitMergedService(v *ServiceNode) PlanNode {
 
 	var node PlanNode
 	acc := make(map[string]bool)
-	for i, st := range stars {
+	done := make([]bool, len(stars))
+	for range stars {
+		// Prefer the stars sharing a variable with the chain so far (any
+		// other is a cross product); among them, the most selective.
+		next, nextLinked := -1, false
+		for i := range stars {
+			if done[i] {
+				continue
+			}
+			linked := sharesVar(starVars[i], acc)
+			if next < 0 || linked && !nextLinked || linked == nextLinked && sel[i] < sel[next] {
+				next, nextLinked = i, linked
+			}
+		}
+		done[next] = true
 		svc := &ServiceNode{
 			SourceID: v.SourceID,
-			Req:      &wrapper.Request{Stars: []*wrapper.StarQuery{st}, Filters: perStar[i]},
+			Req:      &wrapper.Request{Stars: []*wrapper.StarQuery{stars[next]}, Filters: perStar[next]},
 		}
 		if node == nil {
 			node = svc
-			for vn := range starVars[i] {
-				acc[vn] = true
+		} else {
+			var joinVars []string
+			for vn := range starVars[next] {
+				if acc[vn] {
+					joinVars = append(joinVars, vn)
+				}
 			}
-			continue
-		}
-		var joinVars []string
-		for vn := range starVars[i] {
-			if acc[vn] {
-				joinVars = append(joinVars, vn)
+			sort.Strings(joinVars)
+			op := JoinBlockBind
+			if len(joinVars) == 0 || partitionVars(node)[stars[next].SubjectVar] {
+				op = JoinSymmetricHash
 			}
+			node = &JoinNode{L: node, R: svc, JoinVars: joinVars, Op: op}
 		}
-		sort.Strings(joinVars)
-		node = &JoinNode{L: node, R: svc, JoinVars: joinVars, Op: JoinSymmetricHash}
-		for vn := range starVars[i] {
+		for vn := range starVars[next] {
 			acc[vn] = true
 		}
 	}
@@ -190,4 +161,22 @@ func splitMergedService(v *ServiceNode) PlanNode {
 		node = &FilterNode{Child: node, Exprs: lifted}
 	}
 	return node
+}
+
+func coveredBy(set map[string]bool, vars []string) bool {
+	for _, v := range vars {
+		if !set[v] {
+			return false
+		}
+	}
+	return true
+}
+
+func sharesVar(a, b map[string]bool) bool {
+	for k := range a {
+		if b[k] {
+			return true
+		}
+	}
+	return false
 }

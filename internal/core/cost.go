@@ -133,33 +133,40 @@ func (cm *costModel) estimate(n PlanNode) Estimate {
 }
 
 // serviceEstimate prices a full scan of the request: every answer crosses
-// the network as one message.
+// the network as one message. A merged request also gets its cluster
+// split here, ordered by the per-star estimates computed on the way.
 func (cm *costModel) serviceEstimate(n *ServiceNode) Estimate {
+	src := cm.prov.Source(n.SourceID)
+	cards := make([]float64, len(n.Req.Stars))
+	for i, star := range n.Req.Stars {
+		cards[i] = unknownCard
+		if src != nil {
+			cards[i] = cm.starCard(src, star)
+		}
+	}
 	card := unknownCard
-	if src := cm.prov.Source(n.SourceID); src != nil {
-		card = cm.requestCard(src, n.Req)
+	if src != nil {
+		card = requestCard(cards, len(n.Req.Filters))
+	}
+	if len(cards) > 1 {
+		n.Split = splitMergedService(n, cards)
 	}
 	return Estimate{Card: card, Msgs: card, Cost: card * (cm.rttFor(n) + perBindingMS)}
 }
 
-// requestCard estimates a wrapper request's answers: per-star extents scaled
-// by pattern selectivities; merged stars (Heuristic 1) join on an indexed
-// attribute, approximated by the most selective star; pushed filters apply
-// last.
-func (cm *costModel) requestCard(src *stats.SourceStats, req *wrapper.Request) float64 {
-	card := -1.0
-	for _, star := range req.Stars {
-		sc := cm.starCard(src, star)
-		if card < 0 {
+// requestCard estimates a wrapper request's answers from its per-star
+// estimates: merged stars (Heuristic 1) join on an indexed attribute,
+// approximated by the most selective star; pushed filters apply last.
+func requestCard(cards []float64, filters int) float64 {
+	card := unknownCard
+	for i, sc := range cards {
+		if i == 0 {
 			card = sc
 		} else {
 			card = math.Max(math.Min(card, sc), 1)
 		}
 	}
-	if card < 0 {
-		card = unknownCard
-	}
-	for range req.Filters {
+	for i := 0; i < filters; i++ {
 		card = math.Max(card*filterSelectivity, 1)
 	}
 	return card

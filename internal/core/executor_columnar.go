@@ -37,14 +37,7 @@ func (x *Execution) ExecuteColumnar(ctx context.Context, p *Plan) (*engine.CStre
 	if d == nil {
 		d = dict.New()
 	}
-	rootNode := p.Root
-	if p.Opts.Cluster != nil {
-		// Partitioned workers cannot answer a pushed-down intra-source
-		// join over rows split across partitions; route merged stars
-		// through the distributed shuffle instead.
-		rootNode = unmergeServices(rootNode)
-	}
-	root, err := x.runColumnar(ctx, rootNode, p.Opts, d)
+	root, err := x.runColumnar(ctx, p.Root, p.Opts, d)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -88,6 +81,12 @@ func emptyCStream(schema *engine.Schema) *engine.CStream {
 func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options, d *dict.Dict) (*engine.CStream, error) {
 	switch v := n.(type) {
 	case *ServiceNode:
+		if opts.Cluster != nil && v.Split != nil {
+			// Partitioned workers cannot answer a pushed-down intra-source
+			// join over rows split across partitions: run the planner's
+			// single-star chain instead.
+			return x.runColumnar(ctx, v.Split, opts, d)
+		}
 		schema := engine.NewSchema(v.Vars())
 		if dist := opts.Cluster; dist != nil {
 			s, err := dist.Service(ctx, v.SourceID, v.Req, schema, d, x.fragmentEnv(opts))
@@ -123,7 +122,9 @@ func (x *Execution) runColumnar(ctx context.Context, n PlanNode, opts Options, d
 			return engine.CMeter(jctx, s, st), nil
 		}
 		if v.Op == JoinBind || v.Op == JoinBlockBind {
-			if svc, ok := v.R.(*ServiceNode); ok {
+			// A merged right side cannot take seeds on a cluster (its
+			// split is a chain, not one request); it joins by hash below.
+			if svc, ok := v.R.(*ServiceNode); ok && (opts.Cluster == nil || svc.Split == nil) {
 				left, err := x.runColumnar(ctx, v.L, opts, d)
 				if err != nil {
 					return nil, err

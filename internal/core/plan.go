@@ -164,13 +164,12 @@ type Options struct {
 	// profile; ok=false falls back to the profile.
 	MeasuredLatency func(sourceID string) (d time.Duration, ok bool)
 	// Cluster, when set, distributes execution across a worker pool: leaf
-	// services fan out over every worker's lake partition and symmetric
-	// hash joins become distributed shuffles (see internal/cluster). It
-	// is an execution-time setting, injected when a query starts rather
-	// than at plan time — plan shapes do not depend on it (the
-	// merged-star unmerge rewrite it requires runs at execution start),
-	// so cached prepared plans stay shareable between clustered and
-	// single-node runs.
+	// services fan out over every worker's lake partition, symmetric hash
+	// joins become distributed shuffles, and merged services run their
+	// ServiceNode.Split chain (see internal/cluster). It is an
+	// execution-time setting, injected when a query starts rather than at
+	// plan time — plan shapes do not depend on it, so cached prepared
+	// plans stay shareable between clustered and single-node runs.
 	Cluster Distributor
 	// RowExchange opts out of the dictionary-encoded columnar exchange
 	// and runs the row-at-a-time reference pipeline (batches of
@@ -256,6 +255,10 @@ type ServiceNode struct {
 	// Est is the cost model's prediction, set when the cost optimizer
 	// planned the node (rendered by EXPLAIN).
 	Est *Estimate
+	// Split is the tree a partitioned cluster runs in place of a merged
+	// request (see splitMergedService). The planner sets it on every
+	// merged service; single-node execution ignores it.
+	Split PlanNode
 }
 
 // Vars implements PlanNode.

@@ -165,6 +165,13 @@ func (p *Planner) buildJoinTree(leaves []PlanNode, opts Options, cm *costModel) 
 // estimates, as before the cost optimizer existed.
 func (p *Planner) finishPlan(root PlanNode, opts Options, cm *costModel) {
 	promoted := p.applyBindJoinHeuristic(root, opts, cm)
+	// The cost optimizer priced every leaf, which split the merged ones;
+	// greedy plans price them here for their cluster split alone.
+	for _, m := range mergedServices(root) {
+		if m.Split == nil {
+			cm.serviceEstimate(m)
+		}
+	}
 	if opts.Optimizer != OptimizerCost {
 		clearEstimates(root, true)
 		return

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ontario/internal/dict"
 	"ontario/internal/rdf"
 	"ontario/internal/sparql"
 )
@@ -243,5 +244,61 @@ func TestBlockBindJoinCancellationDoesNotLeak(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("block bind join did not terminate after context cancellation")
+	}
+}
+
+// TestCBlockBindJoinCanonicalSeedOrder feeds the columnar block bind join
+// two permutations of the same left rows (duplicates included) as one
+// block each: the seed lists the service receives must be identical, so
+// a seed set always makes the same request and response-cache key.
+func TestCBlockBindJoinCanonicalSeedOrder(t *testing.T) {
+	d := dict.New()
+	schema := NewSchema([]string{"x", "y"})
+	var rows []sparql.Binding
+	for i := 0; i < 12; i++ {
+		rows = append(rows, sparql.Binding{
+			"x": rdf.NewIRI(fmt.Sprintf("http://x/%d", i%7)),
+			"y": rdf.NewLiteral(fmt.Sprint(i)),
+		})
+	}
+	// Intern in a scrambled order so ID order differs from row order.
+	for _, i := range []int{5, 0, 3, 6, 1, 4, 2} {
+		d.Intern(rdf.NewIRI(fmt.Sprintf("http://x/%d", i)))
+	}
+	seedsFor := func(order []int) []sparql.Binding {
+		left := NewCStream(schema, 1)
+		b := NewColBuilder(schema)
+		for _, i := range order {
+			b.AppendBinding(rows[i], d)
+		}
+		left.SendBatch(context.Background(), b.Take())
+		left.Close()
+		var got []sparql.Binding
+		service := func(ctx context.Context, seeds []sparql.Binding) *CStream {
+			got = seeds
+			s := NewCStream(NewSchema([]string{"x"}), 0)
+			s.Close()
+			return s
+		}
+		out := CBlockBindJoin(context.Background(), left, service, []string{"x"},
+			NewSchema([]string{"x", "y"}), d, len(rows), 1, 0)
+		for range out.Batches() {
+		}
+		return got
+	}
+	fwd := make([]int, len(rows))
+	rev := make([]int, len(rows))
+	for i := range rows {
+		fwd[i] = i
+		rev[i] = len(rows) - 1 - i
+	}
+	a, b := seedsFor(fwd), seedsFor(rev)
+	if len(a) != 7 {
+		t.Fatalf("got %d distinct seeds, want 7", len(a))
+	}
+	for i := range a {
+		if a[i].FullKey() != b[i].FullKey() {
+			t.Fatalf("seed %d differs between permutations: %s vs %s", i, a[i].FullKey(), b[i].FullKey())
+		}
 	}
 }

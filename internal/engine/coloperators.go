@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -512,7 +514,7 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 			// Distinct seeds by their join-variable ID tuple; a row with no
 			// bound join variable joins with every right solution, so it
 			// forces an unconstrained request for the whole block.
-			var seeds []sparql.Binding
+			var seedRows []int // a block row per distinct seed
 			seedTbl := newColTable(len(lPos))
 			unconstrained := false
 			for r := 0; r < block.Len && !unconstrained; r++ {
@@ -524,7 +526,6 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 					}
 				}
 				if allUnbound {
-					seeds = nil
 					unconstrained = true
 					break
 				}
@@ -550,7 +551,7 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 				if dup {
 					continue
 				}
-				idx := int32(len(seeds))
+				idx := int32(len(seedRows))
 				for _, p := range lPos {
 					var id dict.ID
 					if p >= 0 {
@@ -559,7 +560,28 @@ func CBlockBindJoin(ctx context.Context, left *CStream, right CBlockService, joi
 					seedTbl.data = append(seedTbl.data, id)
 				}
 				seedTbl.buckets[h] = append(seedTbl.buckets[h], idx)
-				seeds = append(seeds, seedBinding(block, r, joinVars, lPos, d))
+				seedRows = append(seedRows, r)
+			}
+			// Seeds go out sorted by their ID tuple, so a seed set makes
+			// the same request (and response-cache key) whatever order its
+			// rows arrived in.
+			var seeds []sparql.Binding
+			if !unconstrained {
+				slices.SortFunc(seedRows, func(a, b int) int {
+					for _, p := range lPos {
+						if p < 0 {
+							continue
+						}
+						if c := cmp.Compare(block.Cols[p][a], block.Cols[p][b]); c != 0 {
+							return c
+						}
+					}
+					return 0
+				})
+				seeds = make([]sparql.Binding, len(seedRows))
+				for i, r := range seedRows {
+					seeds[i] = seedBinding(block, r, joinVars, lPos, d)
+				}
 			}
 			sem <- struct{}{}
 			wg.Add(1)

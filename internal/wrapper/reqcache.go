@@ -81,6 +81,13 @@ type respEntry struct {
 	perRow bool
 }
 
+// Len returns the number of remembered responses.
+func (c *ResponseCache) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
+}
+
 // respKeyFor builds the cache key of req as issued against source.
 // Interning seed terms here is not wasted work: the miss path interns the
 // same terms anyway, and on a hit they are already in the dictionary.
